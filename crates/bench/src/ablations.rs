@@ -4,7 +4,7 @@
 use crate::table::{rate, secs, Table};
 use gdp_capsule::{CapsuleWriter, DataCapsule, MembershipProof, MetadataBuilder, PointerStrategy};
 use gdp_crypto::SigningKey;
-use gdp_server::{AckMode, SimServer};
+use gdp_server::AckMode;
 use gdp_sim::GdpWorld;
 use gdp_wire::Wire;
 
@@ -101,20 +101,14 @@ pub fn durability() {
         let capsule = world.provision_capsule(&meta, writer_key, PointerStrategy::Chain).unwrap();
         let d2_router = world.routers[0].0;
         let root_router = world.routers[1].0;
-        world.net.set_link_up(d2_router, root_router, false);
+        world.set_link_up(d2_router, root_router, false);
         let write = world.append(&capsule, b"precious");
         let (acked, lost) = match write {
             Ok(_) => {
                 // Crash the serving replica; is the record anywhere else?
-                let (survivor_node, _) = world.servers[0];
-                world.net.run_to_quiescence();
-                let survived = world
-                    .net
-                    .node_mut::<SimServer>(survivor_node)
-                    .server
-                    .capsule(&capsule)
-                    .map(|c| c.len() == 1)
-                    .unwrap_or(false);
+                world.settle();
+                let survived =
+                    world.server(0).capsule(&capsule).map(|c| c.len() == 1).unwrap_or(false);
                 ("acked", !survived)
             }
             Err(_) => ("refused", false),
@@ -198,7 +192,7 @@ pub fn anycast() {
         .sign(&owner);
     let capsule = both.provision_capsule(&meta, wk, PointerStrategy::Chain).unwrap();
     both.append(&capsule, b"payload").unwrap();
-    both.net.run_to_quiescence();
+    both.settle();
     let t0 = both.now();
     both.read(&capsule, 1).unwrap();
     let local_latency = both.now() - t0;
@@ -216,7 +210,7 @@ pub fn anycast() {
     remote.servers.truncate(1);
     let capsule = remote.provision_capsule(&meta, wk, PointerStrategy::Chain).unwrap();
     remote.append(&capsule, b"payload").unwrap();
-    remote.net.run_to_quiescence();
+    remote.settle();
     let t0 = remote.now();
     remote.read(&capsule, 1).unwrap();
     let remote_latency = remote.now() - t0;

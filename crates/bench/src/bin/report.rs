@@ -629,6 +629,10 @@ fn run_fig8(variant: &str, runs: u32, sizes: &[(&str, usize)]) {
              (absolute values are simulator-calibrated; see EXPERIMENTS.md)"
         );
     }
+    println!(
+        "GDP server CPU: SERVER_CPU_US = {} µs per PDU, a modeled constant, not a measurement.",
+        gdp_sim::world::SERVER_CPU_US
+    );
     write_bench_json(
         "BENCH_fig8.json",
         format!(

@@ -8,9 +8,7 @@
 //! Expected shape (paper): on the cloud path the GDP lands between SSHFS
 //! and S3; on the edge path everything is orders of magnitude faster.
 
-use crate::table::{secs, Table};
 use gdp_caapi::GdpFs;
-use gdp_net::SimTime;
 use gdp_sim::baselines::BaselineWorld;
 use gdp_sim::{workload, GdpWorld, Placement};
 use gdp_wire::Name;
@@ -18,10 +16,10 @@ use gdp_wire::Name;
 /// One measured system/size cell.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig8Cell {
-    /// Virtual seconds to store the model.
-    pub write_us: SimTime,
-    /// Virtual seconds to load the model.
-    pub read_us: SimTime,
+    /// Virtual microseconds to store the model.
+    pub write_us: u64,
+    /// Virtual microseconds to load the model.
+    pub read_us: u64,
 }
 
 /// Measures the GDP path (fs CAAPI over the full simulated stack).
@@ -74,24 +72,6 @@ pub fn run_size(model_bytes: usize, runs: u32) -> Vec<(&'static str, Fig8Cell)> 
         ("GDP (edge)", gdp_run(Placement::EdgeLan, model_bytes, runs)),
         ("SSHFS (edge)", baseline_run(BaselineWorld::remote_fs_edge, model_bytes, runs)),
     ]
-}
-
-/// Prints the full Fig 8 table for both model sizes.
-pub fn report(runs: u32) {
-    for (label, size) in
-        [("28 MB model", workload::MODEL_SMALL), ("115 MB model", workload::MODEL_LARGE)]
-    {
-        println!("\nFig 8 — {label} (avg over {runs} runs, virtual seconds; smaller is better)");
-        let mut t = Table::new(&["system", "write (s)", "read (s)"]);
-        for (name, cell) in run_size(size, runs) {
-            t.row(&[name.to_string(), secs(cell.write_us), secs(cell.read_us)]);
-        }
-        t.print();
-    }
-    println!(
-        "\nshape check: GDP(cloud) between SSHFS(cloud) and S3; edge ≫ cloud.\n\
-         (absolute values are simulator-calibrated; see EXPERIMENTS.md)"
-    );
 }
 
 #[cfg(test)]

@@ -101,9 +101,12 @@ impl DataCapsule {
     }
 
     /// Hashes of missing ancestors currently blocking pending records —
-    /// the targets an anti-entropy pass should fetch.
+    /// the targets an anti-entropy pass should fetch — in hash order, so
+    /// the fetch requests built from them replay identically.
     pub fn missing_ancestors(&self) -> Vec<RecordHash> {
-        self.pending.keys().copied().collect()
+        let mut missing: Vec<RecordHash> = self.pending.keys().copied().collect();
+        missing.sort_unstable();
+        missing
     }
 
     /// Current head records (linked records with no linked successor).

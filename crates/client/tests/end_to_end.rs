@@ -1,129 +1,65 @@
 //! Full-stack integration: client ↔ router hierarchy ↔ replicated
-//! DataCapsule-servers, all on the deterministic simulator.
+//! DataCapsule-servers, all production node runtimes on the deterministic
+//! simulator.
 
 use gdp_capsule::{MetadataBuilder, PointerStrategy};
-use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
-use gdp_client::{ClientEvent, GdpClient, SimClient, VerifiedRead};
+use gdp_client::{ClientEvent, GdpClient, VerifiedRead};
 use gdp_crypto::SigningKey;
-use gdp_net::{LinkSpec, NodeId, SimNet};
-use gdp_router::{Router, SimRouter};
-use gdp_server::{AckMode, DataCapsuleServer, ReadTarget, SimServer};
+use gdp_server::{AckMode, ReadTarget};
+use gdp_sim::GdpWorld;
 use gdp_wire::Name;
 
-const FOREVER: u64 = 1 << 50;
-
-fn owner() -> SigningKey {
-    SigningKey::from_seed(&[1u8; 32])
-}
 fn writer_key() -> SigningKey {
     SigningKey::from_seed(&[2u8; 32])
 }
 
 struct World {
-    net: SimNet,
+    world: GdpWorld,
     capsule: Name,
-    client_node: NodeId,
-    srv1_node: NodeId,
-    srv2_node: NodeId,
     metadata: gdp_capsule::CapsuleMetadata,
 }
 
 /// Two domains under a root; capsule replicated on one server per domain;
 /// the writer-client lives in domain 2.
-fn build_world(ack_ticks: bool) -> World {
-    let mut net = SimNet::new(11);
-    let root_r = Router::from_seed(&[10u8; 32], "root");
-    let r1 = Router::from_seed(&[11u8; 32], "d1");
-    let r2 = Router::from_seed(&[12u8; 32], "d2");
-    let (r1_name, r2_name) = (r1.name(), r2.name());
-    let root_node = net.add_node(SimRouter::new(root_r));
-    let r1_node = net.add_node(SimRouter::new(r1));
-    let r2_node = net.add_node(SimRouter::new(r2));
-    net.connect(root_node, r1_node, LinkSpec::wan());
-    net.connect(root_node, r2_node, LinkSpec::wan());
-    net.node_mut::<SimRouter>(r1_node).router.set_parent(root_node);
-    net.node_mut::<SimRouter>(r2_node).router.set_parent(root_node);
-
+fn build_world() -> World {
+    let mut world = GdpWorld::hierarchy(11);
     let metadata = MetadataBuilder::new()
         .writer(&writer_key().verifying_key())
         .set_str("description", "e2e capsule")
-        .sign(&owner());
-    let capsule = metadata.name();
+        .sign(&world.owner);
+    let capsule =
+        world.provision_capsule(&metadata, writer_key(), PointerStrategy::SkipList).unwrap();
+    World { world, capsule, metadata }
+}
 
-    let s1_id = PrincipalId::from_seed(PrincipalKind::Server, &[20u8; 32], "srv-1");
-    let s2_id = PrincipalId::from_seed(PrincipalKind::Server, &[21u8; 32], "srv-2");
-    let mut srv1 = DataCapsuleServer::new(s1_id.clone());
-    let mut srv2 = DataCapsuleServer::new(s2_id.clone());
-    let chain_for = |id: &PrincipalId| {
-        ServingChain::direct(
-            AdCert::issue(&owner(), capsule, id.name(), false, Scope::Global, FOREVER),
-            id.principal().clone(),
-        )
-    };
-    srv1.host(metadata.clone(), chain_for(&s1_id), vec![s2_id.name()]).unwrap();
-    srv2.host(metadata.clone(), chain_for(&s2_id), vec![s1_id.name()]).unwrap();
-
-    let mut sim_srv1 = SimServer::new(srv1, 0, r1_name, FOREVER);
-    let mut sim_srv2 = SimServer::new(srv2, 0, r2_name, FOREVER);
-    if ack_ticks {
-        sim_srv1 = sim_srv1.with_tick(500_000);
-        sim_srv2 = sim_srv2.with_tick(500_000);
-    }
-    let srv1_node = net.add_node(sim_srv1);
-    let srv2_node = net.add_node(sim_srv2);
-    net.node_mut::<SimServer>(srv1_node).router = r1_node;
-    net.node_mut::<SimServer>(srv2_node).router = r2_node;
-    net.connect(srv1_node, r1_node, LinkSpec::lan());
-    net.connect(srv2_node, r2_node, LinkSpec::lan());
-    net.inject_timer(srv1_node, 0, gdp_server::ATTACH_TIMER);
-    net.inject_timer(srv2_node, 0, gdp_server::ATTACH_TIMER);
-    if ack_ticks {
-        net.inject_timer(srv1_node, 500_000, gdp_server::TICK_TIMER);
-        net.inject_timer(srv2_node, 500_000, gdp_server::TICK_TIMER);
-    }
-
-    let mut client = GdpClient::from_seed(&[30u8; 32], "writer-client");
-    client.register_writer(&metadata, writer_key(), PointerStrategy::SkipList).unwrap();
-    let client_node = net.add_node(SimClient::new(client, 0, r2_name, FOREVER));
-    net.node_mut::<SimClient>(client_node).router = r2_node;
-    net.connect(client_node, r2_node, LinkSpec::lan());
-    net.inject_timer(client_node, 0, gdp_client::simnode::ATTACH_TIMER);
-
-    if ack_ticks {
-        // Tick timers re-arm forever; run bounded instead of to quiescence.
-        net.run_until(400_000);
-    } else {
-        net.run_to_quiescence();
-    }
-    assert!(net.node_mut::<SimServer>(srv1_node).attached);
-    assert!(net.node_mut::<SimServer>(srv2_node).attached);
-    assert!(net.node_mut::<SimClient>(client_node).attached);
-
-    World { net, capsule, client_node, srv1_node, srv2_node, metadata }
+fn client(world: &mut World) -> &mut GdpClient {
+    world.world.client_mut()
 }
 
 fn send_request(world: &mut World, pdu: gdp_wire::Pdu) {
-    let router = world.net.node_mut::<SimClient>(world.client_node).router;
-    world.net.inject(world.client_node, router, pdu);
-    world.net.run_until(world.net.now() + 2_000_000);
+    let client = world.world.client_node;
+    world.world.send(client, pdu);
+    world.world.run_for(2_000_000);
+}
+
+fn take_events(world: &mut World) -> Vec<ClientEvent> {
+    let client = world.world.client_node;
+    world.world.take_events(client)
 }
 
 #[test]
 fn append_replicates_and_reads_verify() {
-    let mut world = build_world(false);
+    let mut world = build_world();
     let capsule = world.capsule;
 
     // Append three records with quorum-1 durability.
     for i in 0..3u64 {
-        let (pdu, _) = world
-            .net
-            .node_mut::<SimClient>(world.client_node)
-            .client
+        let (pdu, _) = client(&mut world)
             .append(capsule, format!("entry {i}").as_bytes(), i, AckMode::Quorum(1))
             .unwrap();
         send_request(&mut world, pdu);
     }
-    let events = world.net.node_mut::<SimClient>(world.client_node).take_events();
+    let events = take_events(&mut world);
     let acks: Vec<_> =
         events.iter().filter(|e| matches!(e, ClientEvent::AppendAcked { .. })).collect();
     assert_eq!(acks.len(), 3, "events: {events:?}");
@@ -132,25 +68,19 @@ fn append_replicates_and_reads_verify() {
     }
 
     // Both replicas hold all three records (leaderless replication).
-    for node in [world.srv1_node, world.srv2_node] {
-        let server = &world.net.node_mut::<SimServer>(node).server;
-        let c = server.capsule(&capsule).unwrap();
+    for i in 0..2 {
+        let c = world.world.server(i).capsule(&capsule).unwrap();
         assert_eq!(c.len(), 3);
         assert!(c.is_contiguous());
     }
 
     // Read latest and a membership proof; both verify client-side.
-    let pdu =
-        world.net.node_mut::<SimClient>(world.client_node).client.read(capsule, ReadTarget::Latest);
+    let pdu = client(&mut world).read(capsule, ReadTarget::Latest);
     send_request(&mut world, pdu);
-    let pdu = world
-        .net
-        .node_mut::<SimClient>(world.client_node)
-        .client
-        .read(capsule, ReadTarget::ProofOf(1));
+    let pdu = client(&mut world).read(capsule, ReadTarget::ProofOf(1));
     send_request(&mut world, pdu);
 
-    let events = world.net.node_mut::<SimClient>(world.client_node).take_events();
+    let events = take_events(&mut world);
     let mut saw_latest = false;
     let mut saw_proof = false;
     for e in &events {
@@ -176,27 +106,22 @@ fn append_replicates_and_reads_verify() {
 
 #[test]
 fn session_upgrade_to_hmac() {
-    let mut world = build_world(false);
+    let mut world = build_world();
     let capsule = world.capsule;
 
-    let pdu = world.net.node_mut::<SimClient>(world.client_node).client.session_init(capsule);
+    let pdu = client(&mut world).session_init(capsule);
     send_request(&mut world, pdu);
-    let events = world.net.node_mut::<SimClient>(world.client_node).take_events();
+    let events = take_events(&mut world);
     assert!(
         events.iter().any(|e| matches!(e, ClientEvent::SessionReady { .. })),
         "events: {events:?}"
     );
-    assert!(world.net.node_mut::<SimClient>(world.client_node).client.has_session(&capsule));
+    assert!(client(&mut world).has_session(&capsule));
 
     // Subsequent appends are HMAC-authenticated and still verify.
-    let (pdu, _) = world
-        .net
-        .node_mut::<SimClient>(world.client_node)
-        .client
-        .append(capsule, b"after session", 1, AckMode::Local)
-        .unwrap();
+    let (pdu, _) = client(&mut world).append(capsule, b"after session", 1, AckMode::Local).unwrap();
     send_request(&mut world, pdu);
-    let events = world.net.node_mut::<SimClient>(world.client_node).take_events();
+    let events = take_events(&mut world);
     assert!(
         events.iter().any(|e| matches!(e, ClientEvent::AppendAcked { .. })),
         "events: {events:?}"
@@ -205,35 +130,23 @@ fn session_upgrade_to_hmac() {
 
 #[test]
 fn subscription_delivers_live_events() {
-    let mut world = build_world(false);
+    let mut world = build_world();
     let capsule = world.capsule;
 
-    // A second client (reader) in domain 1 subscribes.
-    let r1_node = 1usize; // from build order: root=0, r1=1, r2=2
-    let r1_name = world.net.node_mut::<SimRouter>(r1_node).router.name();
+    // A second client (reader) in domain 1 (routers[2]) subscribes.
     let mut reader = GdpClient::from_seed(&[31u8; 32], "reader");
     reader.track_capsule(&world.metadata).unwrap();
-    let reader_node = world.net.add_node(SimClient::new(reader, r1_node, r1_name, FOREVER));
-    world.net.node_mut::<SimClient>(reader_node).router = r1_node;
-    world.net.connect(reader_node, r1_node, LinkSpec::lan());
-    world.net.inject_timer(reader_node, world.net.now() + 1, gdp_client::simnode::ATTACH_TIMER);
-    world.net.run_to_quiescence();
-
-    let sub_pdu = world.net.node_mut::<SimClient>(reader_node).client.subscribe(capsule, 0);
-    world.net.inject(reader_node, r1_node, sub_pdu);
-    world.net.run_to_quiescence();
+    let sub_pdu = reader.subscribe(capsule, 0);
+    let reader_node = world.world.add_client(2, reader);
+    world.world.send(reader_node, sub_pdu);
+    world.world.settle();
 
     // Writer appends; the reader (subscribed at the domain-1 replica) must
     // get the event after replication.
-    let (pdu, _) = world
-        .net
-        .node_mut::<SimClient>(world.client_node)
-        .client
-        .append(capsule, b"published!", 7, AckMode::Local)
-        .unwrap();
+    let (pdu, _) = client(&mut world).append(capsule, b"published!", 7, AckMode::Local).unwrap();
     send_request(&mut world, pdu);
 
-    let events = world.net.node_mut::<SimClient>(reader_node).take_events();
+    let events = world.world.take_events(reader_node);
     let sub_events: Vec<_> = events
         .iter()
         .filter_map(|e| match e {
@@ -246,38 +159,28 @@ fn subscription_delivers_live_events() {
 
 #[test]
 fn anti_entropy_heals_partition() {
-    let mut world = build_world(true);
+    let mut world = build_world();
     let capsule = world.capsule;
 
     // Partition server 1's domain from the root.
-    world.net.set_link_up(0, 1, false); // root ↔ r1
+    let (root, d1) = (world.world.routers[1].0, world.world.routers[2].0);
+    world.world.set_link_up(root, d1, false);
 
     for i in 0..4u64 {
-        let (pdu, _) = world
-            .net
-            .node_mut::<SimClient>(world.client_node)
-            .client
+        let (pdu, _) = client(&mut world)
             .append(capsule, format!("during partition {i}").as_bytes(), i, AckMode::Local)
             .unwrap();
         send_request(&mut world, pdu);
     }
     // Server 2 has the records; server 1 does not.
-    assert_eq!(
-        world.net.node_mut::<SimServer>(world.srv2_node).server.capsule(&capsule).unwrap().len(),
-        4
-    );
-    assert_eq!(
-        world.net.node_mut::<SimServer>(world.srv1_node).server.capsule(&capsule).unwrap().len(),
-        0
-    );
+    assert_eq!(world.world.server(1).capsule(&capsule).unwrap().len(), 4);
+    assert_eq!(world.world.server(0).capsule(&capsule).unwrap().len(), 0);
 
     // Heal the partition; anti-entropy ticks must catch server 1 up.
-    world.net.set_link_up(0, 1, true);
-    let deadline = world.net.now() + 5_000_000;
-    // Keep ticking until the sync happens (ticks self-reschedule).
-    world.net.run_until(deadline);
+    world.world.set_link_up(root, d1, true);
+    world.world.run_for(5_000_000);
     assert_eq!(
-        world.net.node_mut::<SimServer>(world.srv1_node).server.capsule(&capsule).unwrap().len(),
+        world.world.server(0).capsule(&capsule).unwrap().len(),
         4,
         "anti-entropy should heal the lagging replica"
     );

@@ -2,10 +2,6 @@
 //!
 //! Network substrates for the Global Data Plane.
 //!
-//! * [`sim`] — a deterministic discrete-event simulator modeling latency,
-//!   bandwidth (store-and-forward serialization), loss, and partitions.
-//!   All paper-figure reproductions run on it (see DESIGN.md,
-//!   "Substitutions").
 //! * [`mem`] — a threaded in-process transport over crossbeam channels for
 //!   real-concurrency tests and CPU-bound forwarding measurements.
 //! * [`tcp`] — a real-socket transport over `std::net` TCP with
@@ -14,8 +10,11 @@
 //! * [`simnet`] — a deterministic, seeded discrete-event *transport*: the
 //!   same [`Transport`] contract as `mem`/`tcp`, but with virtual time,
 //!   injectable faults (delay, reorder, drop, duplicate, asymmetric
-//!   partitions, crash/restart), and a replayable trace digest. The chaos
-//!   suite in `gdp-sim` runs the real node runtimes on it.
+//!   partitions, crash/restart), a replayable trace digest, and optional
+//!   per-link latency/bandwidth/loss and per-endpoint CPU models. It is the
+//!   repo's one simulator: `gdp-sim` runs the real node runtimes on it for
+//!   both the chaos suite and every paper-figure reproduction (see
+//!   DESIGN.md, "Substitutions").
 //! * [`admission`] — per-peer token-bucket admission control applied at
 //!   TCP ingest (see DESIGN.md, "Overload & admission"): a flooding peer
 //!   is shed right after frame decode, before its PDUs cost anything.
@@ -30,13 +29,12 @@
 pub mod admission;
 pub mod conformance;
 pub mod mem;
-pub mod sim;
 pub mod simnet;
 pub mod tcp;
 
 pub use admission::{AdmissionGate, TokenBucket, Verdict};
 pub use mem::{Endpoint, EndpointId, MemNet, MemNetError};
-pub use sim::{LinkSpec, NodeId, SimCtx, SimNet, SimNode, SimTime, MILLI, SECOND};
+pub use simnet::{LinkSpec, SimNet};
 pub use tcp::{
     IngestSink, IngestSinkFactory, PeerEvent, PeerHandle, PeerSendError, TcpNet, TcpNetConfig,
     TcpNetError, TcpStats,
@@ -45,14 +43,11 @@ pub use tcp::{
 use gdp_wire::Pdu;
 use std::time::Duration;
 
-/// The contract shared by message-oriented transports ([`Endpoint`] over
-/// [`MemNet`], [`TcpNet`], and [`simnet::SimEndpoint`]): unicast PDU
-/// delivery with per-peer FIFO ordering and non-blocking/timeout receive.
-///
-/// The callback simulator in [`sim`] is excluded — it owns virtual time
-/// and drives nodes via callbacks rather than channels. The [`simnet`]
-/// fabric is its transport-shaped successor: virtual time advances inside
-/// `recv_timeout`, so production event loops run on it unchanged.
+/// The contract shared by the transports ([`Endpoint`] over [`MemNet`],
+/// [`TcpNet`], and [`simnet::SimEndpoint`]): unicast PDU delivery with per-peer
+/// FIFO ordering and non-blocking/timeout receive. On the [`simnet`]
+/// fabric virtual time advances inside `recv_timeout`, so production
+/// event loops run on it unchanged.
 pub trait Transport {
     /// Peer address type (endpoint id in-process, socket addr on TCP).
     type Peer: Copy + Eq + std::hash::Hash + std::fmt::Debug;

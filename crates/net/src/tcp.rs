@@ -173,6 +173,10 @@ pub struct TcpStats {
     /// Admitted PDUs shed because the bounded shared receive queue was
     /// full (consumer wedged or overloaded). `0` in healthy operation.
     pub ingest_dropped: u64,
+    /// PDUs [`TcpNet::send`] refused with [`TcpNetError::Backpressure`]
+    /// because the peer's bounded egress queue was full (peer not reading
+    /// fast enough). `0` in healthy operation.
+    pub egress_dropped: u64,
 }
 
 /// Registry-backed counter cells (wire-level names: a "frame" carries one
@@ -190,6 +194,7 @@ struct StatCells {
     admission_dropped: Counter,
     admission_throttled_peers: Counter,
     ingest_dropped: Counter,
+    egress_dropped: Counter,
 }
 
 impl StatCells {
@@ -206,6 +211,7 @@ impl StatCells {
             admission_dropped: scope.counter("admission_dropped"),
             admission_throttled_peers: scope.counter("admission_throttled_peers"),
             ingest_dropped: scope.counter("ingest_dropped"),
+            egress_dropped: scope.counter("egress_dropped"),
         }
     }
 }
@@ -369,16 +375,21 @@ impl TcpNet {
             return Err(TcpNetError::Shutdown);
         }
         let tx = writer_for(&self.inner, to);
+        // A refused frame is dropped here, so count it where it is lost.
+        let backpressure = || {
+            self.inner.stats.egress_dropped.inc();
+            TcpNetError::Backpressure(to)
+        };
         match tx.try_send(pdu) {
             Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(TcpNetError::Backpressure(to)),
+            Err(TrySendError::Full(_)) => Err(backpressure()),
             Err(TrySendError::Disconnected(pdu)) => {
                 // The writer exited (peer died earlier); start a fresh
                 // one — spawned before re-taking the peer-map lock, so
                 // the blocking thread-creation syscall never runs under
                 // the lock every data-plane send contends on.
                 let tx = spawn_writer(&self.inner, to, None);
-                let r = tx.try_send(pdu).map_err(|_| TcpNetError::Backpressure(to));
+                let r = tx.try_send(pdu).map_err(|_| backpressure());
                 if !self.inner.shutdown.load(Ordering::SeqCst) {
                     self.inner.peers.lock().insert(to, tx);
                 }
@@ -452,6 +463,7 @@ impl TcpNet {
             admission_dropped: s.admission_dropped.get(),
             admission_throttled_peers: s.admission_throttled_peers.get(),
             ingest_dropped: s.ingest_dropped.get(),
+            egress_dropped: s.egress_dropped.get(),
         }
     }
 
@@ -1131,5 +1143,35 @@ mod tests {
         assert_eq!(got.payload, payload);
         a.shutdown();
         b.shutdown();
+    }
+
+    /// Frames refused by a full egress queue are counted, not lost
+    /// silently: a peer that never reads backs its queue up, and every
+    /// `Err` from `send` moves `egress_dropped` — in the stats snapshot
+    /// and in the `net` registry scope — by exactly one.
+    #[test]
+    fn egress_overflow_is_counted() {
+        // Accepts nothing and reads nothing: the kernel buffers fill, the
+        // writer blocks, and the bounded queue behind it overflows.
+        let sink = std::net::TcpListener::bind(loopback()).unwrap();
+        let metrics = gdp_obs::Metrics::new();
+        let a = TcpNet::bind_with_obs(loopback(), fast_cfg(), &metrics.scope("net")).unwrap();
+        let template = pdu(0, vec![0u8; 64 * 1024]);
+        let mut errs = 0u64;
+        for i in 0..3_000u64 {
+            let mut p = template.clone();
+            p.seq = i;
+            if let Err(e) = a.send(sink.local_addr().unwrap(), p) {
+                assert!(matches!(e, TcpNetError::Backpressure(_)), "{e}");
+                errs += 1;
+            }
+        }
+        assert!(errs > 0, "3000 × 64 KiB never overflowed a 1024-frame queue");
+        assert_eq!(a.stats().egress_dropped, errs);
+        assert_eq!(metrics.counter_value("net", "egress_dropped"), errs);
+        // Closing the listener resets the stuck connection, so the blocked
+        // writer exits and shutdown can join it.
+        drop(sink);
+        a.shutdown();
     }
 }

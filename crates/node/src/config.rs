@@ -245,6 +245,30 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl NodeConfig {
+    /// A config with the four keys [`NodeConfig::parse`] requires and every
+    /// other field at the default `parse` applies when its key is absent.
+    pub fn new(role: Role, listen: SocketAddr, seed: [u8; 32], label: &str) -> NodeConfig {
+        NodeConfig {
+            role,
+            listen,
+            seed,
+            label: label.to_string(),
+            peers: Vec::new(),
+            router: None,
+            data_dir: None,
+            store_engine: StoreEngine::default(),
+            fsync: None,
+            read_cache_bytes: None,
+            max_open_segments: None,
+            stats_path: None,
+            hosts: Vec::new(),
+            shards: 1,
+            shard_batch: crate::shard::DEFAULT_SHARD_BATCH,
+            admission_rate: 0,
+            admission_burst: 64,
+        }
+    }
+
     /// Parses the `key = value` config format. Unknown keys are an error
     /// (config typos should not silently change cluster behavior).
     pub fn parse(text: &str) -> Result<NodeConfig, ConfigError> {
@@ -368,24 +392,26 @@ impl NodeConfig {
                 other => return Err(ConfigError::bad(other, "unknown key")),
             }
         }
+        let role = role.ok_or(ConfigError::bad("role", "missing"))?;
+        let listen = listen.ok_or(ConfigError::bad("listen", "missing"))?;
+        let seed = seed.ok_or(ConfigError::bad("seed", "missing"))?;
+        let label = label.ok_or(ConfigError::bad("label", "missing"))?;
+        let defaults = NodeConfig::new(role, listen, seed, &label);
         let cfg = NodeConfig {
-            role: role.ok_or(ConfigError::bad("role", "missing"))?,
-            listen: listen.ok_or(ConfigError::bad("listen", "missing"))?,
-            seed: seed.ok_or(ConfigError::bad("seed", "missing"))?,
-            label: label.ok_or(ConfigError::bad("label", "missing"))?,
             peers,
             router,
             data_dir,
-            store_engine: store_engine.unwrap_or_default(),
+            store_engine: store_engine.unwrap_or(defaults.store_engine),
             fsync,
             read_cache_bytes,
             max_open_segments,
             stats_path,
             hosts,
-            shards: shards.unwrap_or(1),
-            shard_batch: shard_batch.unwrap_or(crate::shard::DEFAULT_SHARD_BATCH),
-            admission_rate: admission_rate.unwrap_or(0),
-            admission_burst: admission_burst.unwrap_or(64),
+            shards: shards.unwrap_or(defaults.shards),
+            shard_batch: shard_batch.unwrap_or(defaults.shard_batch),
+            admission_rate: admission_rate.unwrap_or(defaults.admission_rate),
+            admission_burst: admission_burst.unwrap_or(defaults.admission_burst),
+            ..defaults
         };
         if cfg.shards > 1 && cfg.role != Role::Router {
             return Err(ConfigError::bad("shards", "sharding requires role = router"));
@@ -421,6 +447,7 @@ impl NodeConfig {
 
     /// Renders the config back to the file format (inverse of `parse`).
     pub fn render(&self) -> String {
+        let defaults = NodeConfig::new(self.role, self.listen, self.seed, &self.label);
         let mut out = String::new();
         let role = match self.role {
             Role::Router => "router",
@@ -441,7 +468,7 @@ impl NodeConfig {
         if let Some(d) = &self.data_dir {
             out.push_str(&format!("data_dir = {}\n", d.display()));
         }
-        if self.store_engine != StoreEngine::File {
+        if self.store_engine != defaults.store_engine {
             out.push_str("store_engine = segmented\n");
         }
         if let Some(p) = &self.fsync {
@@ -456,15 +483,15 @@ impl NodeConfig {
         if let Some(s) = &self.stats_path {
             out.push_str(&format!("stats_path = {}\n", s.display()));
         }
-        if self.shards != 1 {
+        if self.shards != defaults.shards {
             out.push_str(&format!("shards = {}\n", self.shards));
-            if self.shard_batch != crate::shard::DEFAULT_SHARD_BATCH {
+            if self.shard_batch != defaults.shard_batch {
                 out.push_str(&format!("shard_batch = {}\n", self.shard_batch));
             }
         }
-        if self.admission_rate != 0 {
+        if self.admission_rate != defaults.admission_rate {
             out.push_str(&format!("admission_rate = {}\n", self.admission_rate));
-            if self.admission_burst != 64 {
+            if self.admission_burst != defaults.admission_burst {
                 out.push_str(&format!("admission_burst = {}\n", self.admission_burst));
             }
         }
@@ -512,12 +539,17 @@ mod tests {
     }
 
     #[test]
+    fn new_matches_parse_defaults() {
+        let listen = "127.0.0.1:7000".parse().unwrap();
+        let built = NodeConfig::new(Role::Router, listen, [5u8; 32], "r");
+        let parsed = NodeConfig::parse(&built.render()).unwrap();
+        assert_eq!(format!("{parsed:?}"), format!("{built:?}"));
+        assert_eq!(parsed.seed, built.seed);
+    }
+
+    #[test]
     fn roundtrip_full_config() {
         let cfg = NodeConfig {
-            role: Role::Storage,
-            listen: "127.0.0.1:7001".parse().unwrap(),
-            seed: [7u8; 32],
-            label: "storage-1".into(),
             peers: vec!["127.0.0.1:7000".parse().unwrap()],
             router: Some(Name::from_content(b"router")),
             data_dir: Some(PathBuf::from("/tmp/gdp-test")),
@@ -527,10 +559,14 @@ mod tests {
             max_open_segments: Some(32),
             stats_path: Some(PathBuf::from("/tmp/gdp-test/stats.json")),
             hosts: vec![sample_host()],
-            shards: 1,
-            shard_batch: 64,
             admission_rate: 2_000,
             admission_burst: 128,
+            ..NodeConfig::new(
+                Role::Storage,
+                "127.0.0.1:7001".parse().unwrap(),
+                [7u8; 32],
+                "storage-1",
+            )
         };
         let text = cfg.render();
         let parsed = NodeConfig::parse(&text).unwrap();

@@ -12,7 +12,7 @@ use gdp_capsule::{MetadataBuilder, PointerStrategy};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_client::VerifiedRead;
 use gdp_crypto::SigningKey;
-use gdp_node::{ClusterClient, HostSpec, NodeConfig, Role, StoreEngine, FOREVER};
+use gdp_node::{ClusterClient, HostSpec, NodeConfig, Role, FOREVER};
 use gdp_router::Router;
 use gdp_server::{AckMode, ReadTarget};
 use std::io::{BufRead, BufReader};
@@ -98,50 +98,20 @@ fn three_process_cluster_with_failover() {
     let router = spawn_gdpd(
         &dir,
         "router",
-        &NodeConfig {
-            role: Role::Router,
-            listen: "127.0.0.1:0".parse().unwrap(),
-            seed: router_seed,
-            label: "r1".into(),
-            peers: vec![],
-            router: None,
-            data_dir: None,
-            store_engine: StoreEngine::File,
-            fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
-            stats_path: None,
-            hosts: vec![],
-            shards: 1,
-            shard_batch: 64,
-            admission_rate: 0,
-            admission_burst: 64,
-        },
+        &NodeConfig::new(Role::Router, "127.0.0.1:0".parse().unwrap(), router_seed, "r1"),
     );
 
     let storage_cfg =
         |seed: [u8; 32], label: &str, me: &PrincipalId, other: &PrincipalId| NodeConfig {
-            role: Role::Storage,
-            listen: "127.0.0.1:0".parse().unwrap(),
-            seed,
-            label: label.into(),
             peers: vec![router.listen],
             router: Some(router_name),
             data_dir: Some(dir.join(label)),
-            store_engine: StoreEngine::File,
-            fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
-            stats_path: None,
-            shards: 1,
-            shard_batch: 64,
-            admission_rate: 0,
-            admission_burst: 64,
             hosts: vec![HostSpec {
                 metadata: meta.clone(),
                 chain: chain_for(me),
                 peers: vec![other.name()],
             }],
+            ..NodeConfig::new(Role::Storage, "127.0.0.1:0".parse().unwrap(), seed, label)
         };
     let store1 = spawn_gdpd(&dir, "s1", &storage_cfg([21u8; 32], "s1", &s1, &s2));
     let store2 = spawn_gdpd(&dir, "s2", &storage_cfg([22u8; 32], "s2", &s2, &s1));
@@ -224,23 +194,9 @@ fn single_both_node_serves_clients() {
         &dir,
         "solo",
         &NodeConfig {
-            role: Role::Both,
-            listen: "127.0.0.1:0".parse().unwrap(),
-            seed,
-            label: "solo".into(),
-            peers: vec![],
-            router: None,
             data_dir: Some(dir.join("data")),
-            store_engine: StoreEngine::File,
-            fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
-            stats_path: None,
-            shards: 1,
-            shard_batch: 64,
-            admission_rate: 0,
-            admission_burst: 64,
             hosts: vec![HostSpec { metadata: meta.clone(), chain, peers: vec![] }],
+            ..NodeConfig::new(Role::Both, "127.0.0.1:0".parse().unwrap(), seed, "solo")
         },
     );
 

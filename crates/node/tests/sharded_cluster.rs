@@ -9,9 +9,7 @@
 use gdp_capsule::{MetadataBuilder, PointerStrategy};
 use gdp_cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp_client::VerifiedRead;
-use gdp_node::{
-    node, request_path, ClusterClient, HostSpec, NodeConfig, Role, StoreEngine, FOREVER,
-};
+use gdp_node::{node, request_path, ClusterClient, HostSpec, NodeConfig, Role, FOREVER};
 use gdp_router::Router;
 use gdp_server::{AckMode, ReadTarget};
 use std::time::{Duration, Instant};
@@ -45,23 +43,9 @@ fn sharded_router_carries_cluster_traffic() {
     let router_seed = [60u8; 32];
     let router_name = Router::from_seed(&router_seed, "shard-r").name();
     let router = node::start(NodeConfig {
-        role: Role::Router,
-        listen: "127.0.0.1:0".parse().unwrap(),
-        seed: router_seed,
-        label: "shard-r".into(),
-        peers: vec![],
-        router: None,
-        data_dir: None,
-        store_engine: StoreEngine::File,
-        fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: Some(stats.clone()),
-        hosts: vec![],
         shards: 4,
-        shard_batch: 64,
-        admission_rate: 0,
-        admission_burst: 64,
+        ..NodeConfig::new(Role::Router, "127.0.0.1:0".parse().unwrap(), router_seed, "shard-r")
     })
     .expect("start sharded router");
 
@@ -76,18 +60,8 @@ fn sharded_router_carries_cluster_traffic() {
     let meta = MetadataBuilder::new().writer(&writer_key.verifying_key()).sign(&owner);
     let capsule = meta.name();
     let storage = node::start(NodeConfig {
-        role: Role::Storage,
-        listen: "127.0.0.1:0".parse().unwrap(),
-        seed: [61u8; 32],
-        label: "shard-s".into(),
         peers: vec![router.local_addr()],
         router: Some(router_name),
-        data_dir: None,
-        store_engine: StoreEngine::File,
-        fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
-        stats_path: None,
         hosts: vec![HostSpec {
             metadata: meta.clone(),
             chain: ServingChain::direct(
@@ -96,10 +70,7 @@ fn sharded_router_carries_cluster_traffic() {
             ),
             peers: vec![],
         }],
-        shards: 1,
-        shard_batch: 64,
-        admission_rate: 0,
-        admission_burst: 64,
+        ..NodeConfig::new(Role::Storage, "127.0.0.1:0".parse().unwrap(), [61u8; 32], "shard-s")
     })
     .expect("start storage node");
 

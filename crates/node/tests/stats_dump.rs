@@ -2,7 +2,7 @@
 //! makes the event loop write the whole metric registry as one JSON
 //! document, and a stopping node leaves a final dump behind.
 
-use gdp_node::{node, request_path, NodeConfig, Role, StoreEngine};
+use gdp_node::{node, request_path, NodeConfig, Role};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -18,23 +18,8 @@ fn trigger_file_and_shutdown_both_dump_valid_json() {
     let dir = tmpdir("dump");
     let stats = dir.join("stats.json");
     let handle = node::start(NodeConfig {
-        role: Role::Both,
-        listen: "127.0.0.1:0".parse().unwrap(),
-        seed: [77u8; 32],
-        label: "stats-node".into(),
-        peers: vec![],
-        router: None,
-        data_dir: None,
-        store_engine: StoreEngine::File,
-        fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
         stats_path: Some(stats.clone()),
-        hosts: vec![],
-        shards: 1,
-        shard_batch: 64,
-        admission_rate: 0,
-        admission_burst: 64,
+        ..NodeConfig::new(Role::Both, "127.0.0.1:0".parse().unwrap(), [77u8; 32], "stats-node")
     })
     .expect("start node");
 

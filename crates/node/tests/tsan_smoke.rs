@@ -139,23 +139,9 @@ fn sharded_engine_carries_traffic_under_tsan() {
     let router_seed = [70u8; 32];
     let router_name = Router::from_seed(&router_seed, "tsan-r").name();
     let router = node::start(NodeConfig {
-        role: Role::Router,
-        listen: "127.0.0.1:0".parse().unwrap(),
-        seed: router_seed,
-        label: "tsan-r".into(),
-        peers: vec![],
-        router: None,
-        data_dir: None,
-        store_engine: StoreEngine::File,
-        fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
-        stats_path: None,
-        hosts: vec![],
         shards: 4,
         shard_batch: 16,
-        admission_rate: 0,
-        admission_burst: 64,
+        ..NodeConfig::new(Role::Router, "127.0.0.1:0".parse().unwrap(), router_seed, "tsan-r")
     })
     .expect("start sharded router");
 
@@ -171,18 +157,10 @@ fn sharded_engine_carries_traffic_under_tsan() {
     let meta = MetadataBuilder::new().writer(&writer_key.verifying_key()).sign(&owner);
     let capsule = meta.name();
     let storage = node::start(NodeConfig {
-        role: Role::Storage,
-        listen: "127.0.0.1:0".parse().unwrap(),
-        seed: [71u8; 32],
-        label: "tsan-s".into(),
         peers: vec![router.local_addr()],
         router: Some(router_name),
         data_dir: Some(dir.clone()),
         store_engine: StoreEngine::Segmented,
-        fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
-        stats_path: None,
         hosts: vec![HostSpec {
             metadata: meta.clone(),
             chain: ServingChain::direct(
@@ -191,10 +169,8 @@ fn sharded_engine_carries_traffic_under_tsan() {
             ),
             peers: vec![],
         }],
-        shards: 1,
         shard_batch: 16,
-        admission_rate: 0,
-        admission_burst: 64,
+        ..NodeConfig::new(Role::Storage, "127.0.0.1:0".parse().unwrap(), [71u8; 32], "tsan-s")
     })
     .expect("start storage node");
 

@@ -10,8 +10,6 @@
 
 pub mod proto;
 pub mod server;
-pub mod simnode;
 
 pub use proto::{AckMode, DataMsg, ErrorCode, ReadResult, ReadTarget, ResponseAuth};
 pub use server::{DataCapsuleServer, ServerStats};
-pub use simnode::{SimServer, ATTACH_TIMER, TICK_TIMER};

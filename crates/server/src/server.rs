@@ -154,8 +154,9 @@ pub struct DataCapsuleServer {
     /// Ordered by capsule name so anti-entropy fan-out and advertisement
     /// catalogs are iteration-order independent (deterministic replay).
     hosted: BTreeMap<Name, Hosted>,
-    /// Flow keys per client name.
-    sessions: HashMap<Name, FlowSession>,
+    /// Flow keys per (client, capsule): a client derives one key per
+    /// capsule, so one server can hold several flows with the same client.
+    sessions: HashMap<(Name, Name), FlowSession>,
     pending: Vec<PendingDurability>,
     /// Acks awaiting their covering fsync (group-commit stores).
     deferred: Vec<DeferredAck>,
@@ -334,7 +335,7 @@ impl DataCapsuleServer {
         request_seq: u64,
         body: &[u8],
     ) -> ResponseAuth {
-        match self.sessions.get(client) {
+        match self.sessions.get(&(*client, *capsule)) {
             Some(session) => ResponseAuth::Mac {
                 server: self.id.name(),
                 epoch: session.client_eph[..8].try_into().expect("8-byte epoch"),
@@ -428,7 +429,7 @@ impl DataCapsuleServer {
         // Generating a fresh server ephemeral here would replace the key
         // while the client (which processes only the first accept) keeps
         // the old one — poisoning every MAC'd response thereafter.
-        let server_eph = match self.sessions.get(&client) {
+        let server_eph = match self.sessions.get(&(client, capsule)) {
             Some(s) if s.client_eph == client_eph => s.server_eph,
             _ => {
                 let eph = EphemeralKeyPair::generate(&mut self.rng);
@@ -442,7 +443,8 @@ impl DataCapsuleServer {
                 };
                 let key = hkdf::derive_key32(capsule.as_bytes(), &shared, b"gdp/flow-key/v1");
                 let server_eph = *eph.public();
-                self.sessions.insert(client, FlowSession { client_eph, server_eph, key });
+                self.sessions
+                    .insert((client, capsule), FlowSession { client_eph, server_eph, key });
                 self.stats.sessions += 1;
                 self.obs.sessions_established.inc();
                 server_eph

@@ -1,16 +1,11 @@
-//! A durable event stream with consumer groups, on the network stack —
-//! plus a DHT-backed global lookup of the topic's routes.
-//!
-//! Combines two pieces the paper sketches: the Kafka-style append-only log
-//! (§V-A cites Kafka as the exemplar) and the DHT-backed global
-//! GLookupService (§VII).
+//! A durable event stream with consumer groups, on the network stack: the
+//! Kafka-style append-only log the paper sketches (§V-A cites Kafka as the
+//! exemplar).
 //!
 //! Run with: `cargo run --example event_stream`
 
 use gdp::caapi::{GdpStream, Message};
-use gdp::router::{DhtCluster, SimRouter};
 use gdp::sim::{GdpWorld, Placement};
-use gdp::wire::Name;
 
 fn main() {
     // The topic lives on an edge deployment; every publish/poll below is a
@@ -55,26 +50,4 @@ fn main() {
         replay.len(),
         String::from_utf8_lossy(&replay[0].1.value)
     );
-
-    // Publish the topic's route into a DHT-backed global GLookupService and
-    // resolve it from an arbitrary member.
-    let world = stream.backend_mut();
-    let (router_node, _) = world.routers[0];
-    let now = world.now();
-    let routes = world.net.node_mut::<SimRouter>(router_node).router.lookup_local(&topic, now);
-    let mut dht = DhtCluster::new();
-    let members: Vec<Name> =
-        (0..24).map(|i| Name::from_content(format!("dht member {i}").as_bytes())).collect();
-    dht.join(members[0], None);
-    for m in &members[1..] {
-        dht.join(*m, Some(members[0]));
-    }
-    dht.publish(&members[0], routes[0].clone());
-    let found = dht.lookup(&members[23], &topic, now);
-    println!(
-        "DHT lookup from member 23: {} verifiable route(s) in {} iterative hops ✔",
-        found.len(),
-        dht.last_lookup_hops
-    );
-    found[0].verify(now).expect("route verifies end to end");
 }

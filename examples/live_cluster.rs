@@ -13,7 +13,7 @@ use gdp::capsule::{MetadataBuilder, PointerStrategy};
 use gdp::cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp::client::VerifiedRead;
 use gdp::crypto::SigningKey;
-use gdp::node::{self, ClusterClient, HostSpec, NodeConfig, Role, StoreEngine, FOREVER};
+use gdp::node::{self, ClusterClient, HostSpec, NodeConfig, Role, FOREVER};
 use gdp::router::Router;
 use gdp::server::{AckMode, ReadTarget};
 
@@ -46,51 +46,26 @@ fn main() {
     };
 
     // ---- The cluster: router first, then two storage replicas ---------
-    let router = node::start(NodeConfig {
-        role: Role::Router,
-        listen: "127.0.0.1:0".parse().unwrap(),
-        seed: router_seed,
-        label: "edge-router".into(),
-        peers: vec![],
-        router: None,
-        data_dir: None,
-        store_engine: StoreEngine::File,
-        fsync: None,
-        read_cache_bytes: None,
-        max_open_segments: None,
-        stats_path: None,
-        hosts: vec![],
-        shards: 1,
-        shard_batch: 64,
-        admission_rate: 0,
-        admission_burst: 64,
-    })
+    let router = node::start(NodeConfig::new(
+        Role::Router,
+        "127.0.0.1:0".parse().unwrap(),
+        router_seed,
+        "edge-router",
+    ))
     .expect("start router");
     println!("router     {} @ {}", router_name.to_hex(), router.local_addr());
 
     let storage = |seed: [u8; 32], label: &str, me: &PrincipalId, other: &PrincipalId| {
         node::start(NodeConfig {
-            role: Role::Storage,
-            listen: "127.0.0.1:0".parse().unwrap(),
-            seed,
-            label: label.into(),
             peers: vec![router.local_addr()],
             router: Some(router_name),
-            data_dir: None, // in-memory stores for the demo
-            store_engine: StoreEngine::File,
-            fsync: None,
-            read_cache_bytes: None,
-            max_open_segments: None,
-            stats_path: None,
-            shards: 1,
-            shard_batch: 64,
-            admission_rate: 0,
-            admission_burst: 64,
             hosts: vec![HostSpec {
                 metadata: meta.clone(),
                 chain: chain_for(me),
                 peers: vec![other.name()],
             }],
+            // No data_dir: in-memory stores for the demo.
+            ..NodeConfig::new(Role::Storage, "127.0.0.1:0".parse().unwrap(), seed, label)
         })
         .expect("start storage node")
     };

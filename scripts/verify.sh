@@ -3,9 +3,9 @@
 # This is what CI runs; keep it green before merging.
 #
 # Step order is deliberate and fail-fast, cheapest gate first:
-#   fmt -> clippy -> gdp-lint -> build --release -> test -> fuzz corpus
-#   -> chaos sweep -> metric smoke -> overload smoke -> bench JSON
-#   -> perf smoke
+#   fmt -> clippy -> gdp-lint -> build --release -> perfbench build -> test
+#   -> fuzz corpus -> chaos sweep -> metric smoke -> overload smoke
+#   -> bench JSON -> perf smoke
 # gdp-lint runs before the release build: it is a sub-second whole-
 # workspace scan, and a workspace-invariant violation (timing-unsafe
 # compare, secret in a log, hot-path panic, swallowed wire variant)
@@ -99,6 +99,12 @@ fi
 
 step "cargo build --release"
 cargo build --release
+
+# perfbench/ is a detached package (its own empty [workspace]), so the
+# workspace build and tests never compile it: build it here, or an API
+# change in a crate could break the benchmark without the gate noticing.
+step "cargo build perfbench (detached benchmark package)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 step "cargo test (workspace)"
 cargo test --workspace -q

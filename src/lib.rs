@@ -16,13 +16,13 @@
 //! | [`obs`] | `gdp-obs` | metrics registry, trace sink, JSON dumps |
 //! | [`capsule`] | `gdp-capsule` | the DataCapsule ADS, proofs, writers |
 //! | [`store`] | `gdp-store` | append-only segment storage |
-//! | [`net`] | `gdp-net` | deterministic simulator + threaded transport |
+//! | [`net`] | `gdp-net` | transports: in-process, TCP, deterministic `simnet` |
 //! | [`cert`] | `gdp-cert` | principals, AdCerts/RtCerts, advertisements |
 //! | [`router`] | `gdp-router` | FIB, GLookupService, secure routing |
 //! | [`server`] | `gdp-server` | the DataCapsule-server |
 //! | [`client`] | `gdp-client` | verifying client (write/read/subscribe) |
 //! | [`caapi`] | `gdp-caapi` | fs / kv / time-series / commit / aggregate |
-//! | [`sim`] | `gdp-sim` | scenario worlds, baselines, workloads |
+//! | [`sim`] | `gdp-sim` | simulated worlds on the production runtimes, baselines |
 //! | [`node`] | `gdp-node` | deployable node: config, runtime, `gdpd` daemon |
 //!
 //! ## Quickstart

@@ -7,7 +7,7 @@
 use gdp::capsule::{MetadataBuilder, PointerStrategy, Record, RecordHash};
 use gdp::client::ClientEvent;
 use gdp::crypto::SigningKey;
-use gdp::server::{DataMsg, ReadResult, ReadTarget, ResponseAuth, SimServer};
+use gdp::server::{DataMsg, ReadResult, ReadTarget, ResponseAuth};
 use gdp::sim::{GdpWorld, Placement};
 use gdp::wire::{Name, Pdu, PduType, Wire};
 
@@ -33,16 +33,7 @@ fn world_with_data(seed: u64, n: u64) -> (GdpWorld, Name) {
 /// Grabs the stored record at `seq` straight from the server (what an
 /// attacker controlling the server can see and resend).
 fn stored_record(world: &mut GdpWorld, capsule: &Name, seq: u64) -> Record {
-    let (node, _) = world.servers[0];
-    world
-        .net
-        .node_mut::<SimServer>(node)
-        .server
-        .capsule(capsule)
-        .unwrap()
-        .get_one(seq)
-        .unwrap()
-        .clone()
+    world.server(0).capsule(capsule).unwrap().get_one(seq).unwrap().clone()
 }
 
 /// Replaying an old (validly signed) response to a *different* request is
@@ -55,8 +46,7 @@ fn response_replay_rejected() {
     // from the server (same auth the server would produce for request A).
     let pdu_a = world.client_mut().read(capsule, ReadTarget::One(1));
     let seq_a = pdu_a.seq;
-    let (srv_node, _) = world.servers[0];
-    let responses = world.net.node_mut::<SimServer>(srv_node).server.handle_pdu(0, pdu_a);
+    let responses = world.server_mut(0).handle_pdu(0, pdu_a);
     let genuine = responses.into_iter().next().unwrap();
     assert_eq!(genuine.seq, seq_a);
     // Deliver it: accepted.
@@ -119,9 +109,8 @@ fn stale_replica_detected() {
     let request_seq = pdu.seq;
     let result = ReadResult::Latest(old_record, hb);
     // The malicious server signs its response correctly with its own key.
-    let (srv_node, _) = world.servers[0];
     let body = gdp::server::proto::read_result_body(&result);
-    let server = &world.net.node_mut::<SimServer>(srv_node).server;
+    let server = world.server(0);
     let chain = server.advert_entries()[0].chain.clone();
     let auth = ResponseAuth::Signed {
         server: server.principal().clone(),
@@ -161,8 +150,7 @@ fn reordered_range_rejected() {
     // mislabels them: change the order in the response.
     let result = ReadResult::Records(vec![r1, r3, r2]);
     let body = gdp::server::proto::read_result_body(&result);
-    let (srv_node, _) = world.servers[0];
-    let server = &world.net.node_mut::<SimServer>(srv_node).server;
+    let server = world.server(0);
     let chain = server.advert_entries()[0].chain.clone();
     let auth = ResponseAuth::Signed {
         server: server.principal().clone(),
@@ -255,8 +243,7 @@ fn session_mitm_rejected() {
     let mitm_eph = gdp::crypto::x25519::EphemeralKeyPair::from_secret([5u8; 32]);
     let transcript =
         gdp::server::proto::session_transcript(&capsule, &client_eph, mitm_eph.public());
-    let (srv_node, _) = world.servers[0];
-    let server = &world.net.node_mut::<SimServer>(srv_node).server;
+    let server = world.server(0);
     let real_chain = server.advert_entries()[0].chain.clone();
     let real_principal = server.principal().clone();
     let msg = DataMsg::SessionAccept {
@@ -289,17 +276,8 @@ fn lossy_network_never_yields_wrong_data() {
     let (mut world, capsule) = world_with_data(75, 10);
     // Make the client↔router link 40% lossy in both directions.
     let (router_node, _) = world.routers[0];
-    let client_node = world.client_node;
-    world.net.connect_directed(
-        client_node,
-        router_node,
-        gdp::net::LinkSpec { latency_us: 200, bandwidth_bps: 1_000_000_000, loss: 0.4 },
-    );
-    world.net.connect_directed(
-        router_node,
-        client_node,
-        gdp::net::LinkSpec { latency_us: 200, bandwidth_bps: 1_000_000_000, loss: 0.4 },
-    );
+    let lossy = gdp::net::LinkSpec { latency_us: 200, bandwidth_bps: 1_000_000_000, loss: 0.4 };
+    world.sched.net.connect(world.client_node, router_node, lossy);
     let mut ok = 0;
     let mut failed = 0;
     for seq in 1..=10u64 {

@@ -6,7 +6,7 @@ use gdp::caapi::CapsuleAccess;
 use gdp::capsule::{MetadataBuilder, PointerStrategy, WriterMode};
 use gdp::cert::{AdCert, PrincipalId, PrincipalKind, Scope, ServingChain};
 use gdp::crypto::SigningKey;
-use gdp::server::{DataCapsuleServer, SimServer};
+use gdp::server::DataCapsuleServer;
 use gdp::sim::{GdpWorld, Placement, FOREVER};
 use gdp::store::{Backing, CapsuleStore, FileStore, StorageEngine};
 
@@ -131,7 +131,7 @@ fn qsw_branch_converges_across_replicas() {
     for i in 0..4u64 {
         world.append(&capsule, format!("main {i}").as_bytes()).unwrap();
     }
-    world.net.run_to_quiescence();
+    world.settle();
 
     // The writer restarts from seq-2 state (lost newer local state) in
     // QSW mode and appends — forking at seq 3.
@@ -143,11 +143,11 @@ fn qsw_branch_converges_across_replicas() {
         *w = qsw;
     }
     world.append(&capsule, b"branch!").unwrap();
-    world.net.run_to_quiescence();
+    world.settle();
 
     // Both replicas converge to the same branched DAG.
-    for (node, _) in world.servers.clone() {
-        let c = world.net.node_mut::<SimServer>(node).server.capsule(&capsule).unwrap();
+    for i in 0..world.servers.len() {
+        let c = world.server(i).capsule(&capsule).unwrap();
         assert_eq!(c.heads().len(), 2, "both replicas see the fork");
         assert_eq!(c.get_by_seq(3).len(), 2);
         assert_eq!(c.len(), 5);
@@ -203,13 +203,14 @@ fn replica_failover_read_path() {
         .sign(&owner);
     let capsule = world.provision_capsule(&meta, writer_key(), PointerStrategy::Chain).unwrap();
     world.append(&capsule, b"replicated payload").unwrap();
-    world.net.run_to_quiescence();
+    world.settle();
 
-    // Kill the local (domain-2) replica: link down + router purge.
+    // Kill the local (domain-2) replica: link down + the router's
+    // transport reports the peer dead, withdrawing its routes.
     let (local_srv, _) = world.servers[1];
     let (d2_router, _) = world.routers[0];
-    world.net.set_link_up(local_srv, d2_router, false);
-    world.net.node_mut::<gdp::router::SimRouter>(d2_router).router.neighbor_down(local_srv);
+    world.set_link_up(local_srv, d2_router, false);
+    world.peer_down(d2_router, local_srv);
 
     // The read is transparently served by the domain-1 replica.
     let r = world.read(&capsule, 1).unwrap();
