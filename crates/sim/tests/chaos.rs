@@ -166,13 +166,13 @@ fn run_scenario_in(seed: u64, dir: &Path, engine: StoreEngine) -> RunResult {
             c.heal_storage(victim);
         }
     }
-    c.net.heal_all();
+    c.net().heal_all();
     c.run_for(40 * S);
 
     check_invariants(&c);
     RunResult {
-        digest: c.net.trace_digest(),
-        events: c.net.trace_events(),
+        digest: c.net().trace_digest(),
+        events: c.net().trace_events(),
         acked: c.acked().keys().copied().collect(),
         partitions,
         crashes,
@@ -429,7 +429,7 @@ fn fault_free_metric_accounting() {
     let hops = rm.counter_value("router", "pdus_delivered_local")
         + rm.counter_value("router", "pdus_forwarded");
     assert!(hops >= 2 * (N + reads), "too few routed hops: {hops}");
-    let stats = c.net.stats();
+    let stats = c.net().stats();
     assert_eq!(stats.dropped, 0, "reliable fabric dropped traffic");
     assert_eq!(stats.duplicated, 0, "reliable fabric duplicated traffic");
     let _ = std::fs::remove_dir_all(&dir);
@@ -455,7 +455,7 @@ fn lossy_fabric_shows_retries() {
     c.run_for(30 * S);
     check_invariants(&c);
 
-    let dropped = c.net.stats().dropped;
+    let dropped = c.net().stats().dropped;
     assert!(dropped > 0, "GDP_SIM_SEED={seed}: 35% drop rate dropped nothing");
     assert!(
         c.client_metrics().counter_value("client", "requests_retried") > 0,
@@ -487,7 +487,7 @@ fn timeout_sweep_fires_under_loss() {
     c.run_for(30 * S);
     check_invariants(&c);
 
-    assert!(c.net.stats().dropped > 0, "GDP_SIM_SEED={seed}: drop rate dropped nothing");
+    assert!(c.net().stats().dropped > 0, "GDP_SIM_SEED={seed}: drop rate dropped nothing");
     assert!(
         c.client_metrics().counter_value("client", "requests_timed_out") > 0,
         "GDP_SIM_SEED={seed}: drops never produced a swept timeout"
